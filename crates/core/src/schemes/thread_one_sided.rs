@@ -9,13 +9,20 @@
 //! compares each against the row sum of its own accumulators. Everything
 //! reuses the loads the thread already performed: zero extra memory
 //! traffic (the §3.5 design principle).
+//!
+//! [`ThreadLocalScheme::on_k_step`] is that per-step arithmetic, and the
+//! replay oracle. On the host the scheme opts into the engine's shared
+//! passes instead ([`ThreadLocalScheme::uses_row_checksums`]): each
+//! column group's B checksums are built once per GEMM and each row's
+//! running sums once per block, with the same operations in the same
+//! order, so a lane only picks up its `Mt` finished values.
 
 use crate::tolerance::Tolerance;
 use aiga_dtype::Dtype;
 use aiga_gpu::engine::{
     KStep, LaneWalk, SchemeCounters, ThreadCtx, ThreadLocalScheme, ThreadVerdict,
 };
-use aiga_gpu::tiling::{MAX_THREAD_MT, MAX_THREAD_NT};
+use aiga_gpu::tiling::MAX_THREAD_MT;
 
 /// Per-thread state of one-sided thread-level ABFT.
 ///
@@ -60,111 +67,6 @@ impl OneSidedThreadAbft {
 impl Default for OneSidedThreadAbft {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl OneSidedThreadAbft {
-    /// The scalar K-step walk over `[first, last)` — the portable body
-    /// of the fused lane walk, also finishing the remainder the SIMD
-    /// path leaves (it runs whole 4-step blocks only).
-    fn scalar_steps(&mut self, rows: &[&[f32]], cols: &[&[f32]], first: usize, last: usize) {
-        let dt = self.dtype;
-        for step in first..last {
-            let k0 = step * 2;
-            let mut w = [0.0f32; 2];
-            let mut w_abs = [0.0f64; 2];
-            for (lane, (w, w_abs)) in w.iter_mut().zip(w_abs.iter_mut()).enumerate() {
-                let mut sum = 0.0f32;
-                for col in cols {
-                    let v = col[k0 + lane];
-                    sum = dt.chain_add(sum, v);
-                    *w_abs += (v as f64).abs();
-                }
-                *w = sum;
-            }
-            let (w0, w1) = (w[0], w[1]);
-            for (i, row) in rows.iter().enumerate() {
-                let a0 = row[k0];
-                let a1 = row[k0 + 1];
-                self.abft[i] += a0 * w0 + a1 * w1;
-                self.magnitude[i] += (a0 as f64).abs() * w_abs[0] + (a1 as f64).abs() * w_abs[1];
-            }
-        }
-    }
-}
-
-/// The F16C-vectorized fp16 checksum chain. Each K-step's chain is a
-/// serial `chain_add` recurrence, but *steps* are independent of each
-/// other, so the walk packs 4 consecutive steps × 2 k-lanes into one
-/// 8-wide register — exactly the interleaving the panels store — and
-/// rounds all 8 running sums per chain element with one `vcvtps2ph`/
-/// `vcvtph2ps` pair. Every individual f32/f64 operation and its order
-/// match the scalar walk, so results are bit-identical:
-/// `vcvtps2ph(RNE)` *is* the correctly-rounded f32→fp16 conversion
-/// `Dtype::chain_add` applies (`aiga-fp16`'s oracle-tested software
-/// rounding), and the per-step pair sums / accumulator adds are
-/// extracted and applied in the scalar order.
-#[cfg(target_arch = "x86_64")]
-mod x86 {
-    #[cfg(target_arch = "x86_64")]
-    use std::arch::x86_64::*;
-
-    /// Runs whole 4-step blocks of the fp16-chain lane walk and returns
-    /// the index of the first unprocessed step (the caller finishes the
-    /// `k_steps % 4` tail with the scalar walk).
-    ///
-    /// # Safety
-    /// The host must support F16C (which implies AVX).
-    #[target_feature(enable = "avx", enable = "f16c")]
-    pub(super) unsafe fn walk_f16_chain(
-        cols: &[&[f32]],
-        rows: &[&[f32]],
-        k_steps: usize,
-        abft: &mut [f32],
-        magnitude: &mut [f64],
-    ) -> usize {
-        let blocks = k_steps / 4;
-        let sign_mask32 = _mm256_set1_ps(-0.0);
-        for blk in 0..blocks {
-            let base = blk * 8; // 4 steps × 2 k-lanes of interleaved f32
-                                // Chain over the owned columns: slot j of `sum` is the
-                                // running checksum of (step blk·4 + j/2, k-lane j%2).
-            let mut sum = _mm256_setzero_ps();
-            let mut wa_lo = _mm256_setzero_pd(); // |v| sums, slots 0..4
-            let mut wa_hi = _mm256_setzero_pd(); // |v| sums, slots 4..8
-            for col in cols {
-                debug_assert!(base + 8 <= col.len());
-                let v = _mm256_loadu_ps(col.as_ptr().add(base));
-                sum = _mm256_add_ps(sum, v);
-                sum = _mm256_cvtph_ps(_mm256_cvtps_ph(sum, _MM_FROUND_TO_NEAREST_INT));
-                let va = _mm256_andnot_ps(sign_mask32, v);
-                wa_lo = _mm256_add_pd(wa_lo, _mm256_cvtps_pd(_mm256_castps256_ps128(va)));
-                wa_hi = _mm256_add_pd(wa_hi, _mm256_cvtps_pd(_mm256_extractf128_ps(va, 1)));
-            }
-            let mut wa = [0.0f64; 8];
-            _mm256_storeu_pd(wa.as_mut_ptr(), wa_lo);
-            _mm256_storeu_pd(wa.as_mut_ptr().add(4), wa_hi);
-            // The redundant MMAs, four steps at a time: the products are
-            // one vector multiply (each slot a single f32 multiply, as in
-            // the scalar walk); the per-step pair sums and the running
-            // accumulator adds happen in scalar step order.
-            for (i, row) in rows.iter().enumerate() {
-                debug_assert!(base + 8 <= row.len());
-                let a = _mm256_loadu_ps(row.as_ptr().add(base));
-                let mut t = [0.0f32; 8];
-                _mm256_storeu_ps(t.as_mut_ptr(), _mm256_mul_ps(a, sum));
-                let mut acc = abft[i];
-                let mut mag = magnitude[i];
-                for s in 0..4 {
-                    acc += t[2 * s] + t[2 * s + 1];
-                    mag += (row[base + 2 * s] as f64).abs() * wa[2 * s]
-                        + (row[base + 2 * s + 1] as f64).abs() * wa[2 * s + 1];
-                }
-                abft[i] = acc;
-                magnitude[i] = mag;
-            }
-        }
-        blocks * 4
     }
 }
 
@@ -218,48 +120,23 @@ impl ThreadLocalScheme for OneSidedThreadAbft {
         false
     }
 
-    /// Fused whole-lane walk: performs exactly the arithmetic
-    /// [`Self::on_k_step`] would perform over the step-ordered replay —
-    /// the same `chain_add` sequence, FP32 accumulations, and f64
-    /// magnitude updates, in the same order — but streams the panel
-    /// slices directly instead of paying a fragment gather and a virtual
-    /// call per K-step. On hosts with F16C the fp16 chain vectorizes
-    /// across K-steps (steps are independent; only the within-step chain
-    /// is serial) with `vcvtps2ph`, whose round-to-nearest-even is the
-    /// same single rounding [`Dtype::chain_add`] applies. Verdicts,
-    /// residuals, and counters are bit-identical to the default replay
-    /// path on every host (pinned by test).
+    // The per-step product above is shared work: the engine builds each
+    // column group's B chains once per GEMM and each row's running sums
+    // once per block, operation for operation as `on_k_step` would.
+    fn uses_row_checksums(&self) -> bool {
+        true
+    }
+
+    /// Takes the lane's finished running checksums from the engine's
+    /// shared passes (see [`Self::uses_row_checksums`]) — bit-identical
+    /// to replaying [`Self::on_k_step`] over every K-step (pinned by
+    /// test) — and books the same counters the replay would.
     fn walk_lane(&mut self, walk: &LaneWalk<'_>) {
-        let (mt, nt, k) = (walk.rows.len(), walk.cols.len(), walk.k);
+        let (mt, nt) = (walk.rows.len(), walk.cols.len());
+        assert_eq!(walk.row_abft.len(), mt, "row checksums must be staged");
         self.dtype = walk.dtype;
-        // One contiguous K-walk slice per owned row/column.
-        let mut rows: [&[f32]; MAX_THREAD_MT] = [&[]; MAX_THREAD_MT];
-        for (ri, &r) in walk.rows.iter().enumerate() {
-            rows[ri] = &walk.a_f32[r * k..r * k + k];
-        }
-        let mut cols: [&[f32]; MAX_THREAD_NT] = [&[]; MAX_THREAD_NT];
-        for (ci, &c) in walk.cols.iter().enumerate() {
-            cols[ci] = &walk.b_f32_t[c * k..c * k + k];
-        }
-        let mut first_step = 0usize;
-        #[cfg(target_arch = "x86_64")]
-        if matches!(self.dtype, Dtype::F16 | Dtype::Fp8E4M3)
-            && aiga_gpu::engine::simd::active_path().is_simd()
-            && std::arch::is_x86_feature_detected!("f16c")
-        {
-            // SAFETY: the F16C (and the AVX it implies) requirement was
-            // just verified at runtime.
-            first_step = unsafe {
-                x86::walk_f16_chain(
-                    &cols[..nt],
-                    &rows[..mt],
-                    walk.k_steps as usize,
-                    &mut self.abft,
-                    &mut self.magnitude,
-                )
-            };
-        }
-        self.scalar_steps(&rows[..mt], &cols[..nt], first_step, walk.k_steps as usize);
+        self.abft[..mt].copy_from_slice(walk.row_abft);
+        self.magnitude[..mt].copy_from_slice(walk.row_magnitude);
         self.steps += walk.k_steps;
         self.counters.extra_mmas += walk.k_steps * ((mt as u64) / 2);
         self.counters.checksum_ops += walk.k_steps * ((nt as u64) / 2);
@@ -306,8 +183,9 @@ impl ThreadLocalScheme for OneSidedThreadAbft {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aiga_gpu::engine::{FaultKind, FaultPlan, GemmEngine, Matrix};
+    use aiga_gpu::engine::{replay_walk, FaultKind, FaultPlan, GemmEngine, Matrix, Workspace};
     use aiga_gpu::{GemmShape, TilingConfig};
+    use std::sync::{Arc, Mutex};
 
     fn engine() -> GemmEngine {
         GemmEngine::new(
@@ -379,8 +257,8 @@ mod tests {
         // A wrapper that inherits the trait's default `walk_lane` (the
         // per-step fragment replay) while delegating every hook to a
         // real one-sided instance: running both against the same GEMM
-        // pins the fused override to the replay bit for bit — verdicts,
-        // residuals, thresholds, and counters.
+        // pins the shared-pass path to the replay bit for bit —
+        // verdicts, residuals, thresholds, and counters.
         struct ReplayOnly(OneSidedThreadAbft);
         impl ThreadLocalScheme for ReplayOnly {
             fn begin(&mut self, ctx: &ThreadCtx) {
@@ -426,16 +304,225 @@ mod tests {
         }
     }
 
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn f16c_chain_walk_is_bit_identical_on_adversarial_values() {
-        // The vectorized chain must agree with the scalar `chain_add`
-        // walk on the values where an incorrect rounding would hide:
-        // fp16 subnormals, quantum-boundary ties, the 65504/65520
-        // overflow edge, signed zeros, and sign cancellations.
-        if !std::arch::is_x86_feature_detected!("f16c") {
-            return;
+    /// One lane's full check state at `finalize`: identity, the bits of
+    /// every owned row's running checksum and magnitude, the step count,
+    /// and the real verdict's flag and bits.
+    #[derive(Debug, PartialEq)]
+    struct LaneState {
+        id: ((u64, u64), u64, usize),
+        abft: Vec<u32>,
+        magnitude: Vec<u64>,
+        steps: u64,
+        verdict: (bool, u64, u64),
+    }
+
+    /// A real one-sided instance that takes either the engine's shared
+    /// passes (`staged`) or the per-step `on_k_step` replay, logging
+    /// every lane's [`LaneState`].
+    struct Logged {
+        inner: OneSidedThreadAbft,
+        staged: bool,
+        log: Arc<Mutex<Vec<LaneState>>>,
+    }
+
+    impl ThreadLocalScheme for Logged {
+        fn uses_raw_fragments(&self) -> bool {
+            !self.staged
         }
+        fn uses_row_checksums(&self) -> bool {
+            self.staged
+        }
+        fn begin(&mut self, ctx: &ThreadCtx) {
+            self.inner.begin(ctx)
+        }
+        fn on_k_step(&mut self, step: &KStep<'_>) {
+            self.inner.on_k_step(step)
+        }
+        fn walk_lane(&mut self, walk: &LaneWalk<'_>) {
+            if self.staged {
+                self.inner.walk_lane(walk)
+            } else {
+                replay_walk(&mut self.inner, walk)
+            }
+        }
+        fn finalize(
+            &mut self,
+            ctx: &ThreadCtx,
+            acc: &[f32],
+            mt: usize,
+            nt: usize,
+        ) -> ThreadVerdict {
+            let v = self.inner.finalize(ctx, acc, mt, nt);
+            self.log.lock().unwrap().push(LaneState {
+                id: (ctx.block, ctx.warp, ctx.lane),
+                abft: self.inner.abft[..mt].iter().map(|x| x.to_bits()).collect(),
+                magnitude: self.inner.magnitude[..mt]
+                    .iter()
+                    .map(|x| x.to_bits())
+                    .collect(),
+                steps: self.inner.steps,
+                verdict: (
+                    v.fault_detected,
+                    v.residual.to_bits(),
+                    v.threshold.to_bits(),
+                ),
+            });
+            v
+        }
+        fn counters(&self) -> SchemeCounters {
+            self.inner.counters()
+        }
+    }
+
+    /// Runs the GEMM once through the shared passes (the workspace hot
+    /// path, reusing `ws`) and once through the per-step replay (the
+    /// allocating path), and asserts the two agree bit for bit: output,
+    /// detections in order with their residual/threshold bits, counters,
+    /// and every lane's state. NaN checksums (a chain overflowed and met
+    /// a zero) compare as equal whatever their payload — a NaN never
+    /// reaches a verdict.
+    fn assert_staged_matches_replay(
+        engine: &GemmEngine,
+        a: &Matrix,
+        b: &Matrix,
+        faults: &[FaultPlan],
+        ws: &mut Workspace,
+        label: &str,
+    ) {
+        let run = |staged: bool, ws: &mut Workspace| {
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let make = || Logged {
+                inner: OneSidedThreadAbft::new(),
+                staged,
+                log: log.clone(),
+            };
+            let out = if staged {
+                engine.run_multi_into(a, b, make, faults, ws).clone()
+            } else {
+                engine.run_multi(a, b, make, faults)
+            };
+            let mut lanes = std::mem::take(&mut *log.lock().unwrap());
+            lanes.sort_by_key(|l| l.id);
+            (out, lanes)
+        };
+        let (staged, staged_lanes) = run(true, ws);
+        let (replayed, replayed_lanes) = run(false, ws);
+        let bits = |c: &[f32]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&staged.c), bits(&replayed.c), "{label}: output");
+        assert_eq!(
+            staged.detections.len(),
+            replayed.detections.len(),
+            "{label}"
+        );
+        for (s, r) in staged.detections.iter().zip(&replayed.detections) {
+            assert_eq!(
+                (s.block, s.warp, s.lane),
+                (r.block, r.warp, r.lane),
+                "{label}"
+            );
+            assert_eq!(s.residual.to_bits(), r.residual.to_bits(), "{label}");
+            assert_eq!(s.threshold.to_bits(), r.threshold.to_bits(), "{label}");
+        }
+        assert_eq!(staged.counters.scheme, replayed.counters.scheme, "{label}");
+        assert_eq!(
+            staged.counters.threads, replayed.counters.threads,
+            "{label}"
+        );
+        assert_eq!(staged_lanes.len(), replayed_lanes.len(), "{label}");
+        for (s, r) in staged_lanes.iter().zip(&replayed_lanes) {
+            let same = s.abft.iter().zip(&r.abft).all(|(&x, &y)| {
+                x == y || (f32::from_bits(x).is_nan() && f32::from_bits(y).is_nan())
+            });
+            assert!(
+                same,
+                "{label}: lane {:?} abft {:?} vs {:?}",
+                s.id, s.abft, r.abft
+            );
+            assert_eq!(s.magnitude, r.magnitude, "{label}: lane {:?}", s.id);
+            assert_eq!(
+                (s.id, s.steps, s.verdict),
+                (r.id, r.steps, r.verdict),
+                "{label}"
+            );
+        }
+    }
+
+    #[test]
+    fn staged_checks_match_the_replay_across_tilings_dtypes_and_faults() {
+        // Every tiling candidate × storage dtype × padded odd shape,
+        // clean and under a mid-walk and an epilogue fault; one
+        // workspace carries all the staged runs, so the ratcheting
+        // chain and row buffers are re-armed across shapes too.
+        let mut ws = Workspace::new();
+        for tiling in TilingConfig::candidates() {
+            for dtype in Dtype::ALL {
+                for &(m, n, k, seed) in &[(17usize, 9usize, 11usize, 90u64), (70, 136, 40, 91)] {
+                    let a = Matrix::random_dtype(m, k, seed, dtype);
+                    let b = Matrix::random_dtype(k, n, seed + 1, dtype);
+                    let engine =
+                        GemmEngine::new(GemmShape::new(m as u64, n as u64, k as u64), tiling);
+                    let mid = FaultPlan {
+                        row: m / 2,
+                        col: n - 2,
+                        after_step: 2,
+                        kind: FaultKind::AddValue(40.0),
+                    };
+                    let epilogue = FaultPlan {
+                        row: m - 1,
+                        col: n / 3,
+                        after_step: u64::MAX,
+                        kind: FaultKind::BitFlip(27),
+                    };
+                    for faults in [&[][..], &[mid][..], &[epilogue][..]] {
+                        let label = format!("{tiling:?} {dtype} {m}x{n}x{k} {faults:?}");
+                        assert_staged_matches_replay(&engine, &a, &b, faults, &mut ws, &label);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn staged_checks_match_the_replay_in_the_block_parallel_regime() {
+        // 256×128×512 clears BLOCK_PAR_MIN_FLOPS with ≥ 2 block-row
+        // stripes under every tiling; forcing 3 workers runs the row
+        // pass inside the stripe workers even on a single-core runner.
+        let (m, n, k) = (256usize, 128usize, 512usize);
+        let a = Matrix::random(m, k, 92);
+        let b = Matrix::random(k, n, 93);
+        let faults = [
+            FaultPlan {
+                row: 200,
+                col: 17,
+                after_step: 5,
+                kind: FaultKind::AddValue(96.0),
+            },
+            FaultPlan {
+                row: 3,
+                col: 100,
+                after_step: u64::MAX,
+                kind: FaultKind::BitFlip(28),
+            },
+        ];
+        let mut ws = Workspace::new();
+        aiga_gpu::engine::force_block_workers(Some(3));
+        for tiling in TilingConfig::candidates() {
+            let engine = GemmEngine::new(GemmShape::new(m as u64, n as u64, k as u64), tiling);
+            for faults in [&[][..], &faults[..]] {
+                let label = format!("{tiling:?} parallel {faults:?}");
+                assert_staged_matches_replay(&engine, &a, &b, faults, &mut ws, &label);
+            }
+        }
+        aiga_gpu::engine::force_block_workers(None);
+    }
+
+    #[test]
+    fn staged_chains_are_bit_identical_on_adversarial_values() {
+        // The staged B chains and the block row pass must agree with the
+        // per-step `on_k_step` replay on the values where a wrong
+        // rounding or a reordered operation would hide: fp16
+        // subnormals, quantum-boundary ties, the 65504/65520 overflow
+        // edge, signed zeros, and sign cancellations.
         use aiga_fp16::F16;
         let specials = [
             0x0000u16, 0x8000, // ±0
@@ -446,48 +533,25 @@ mod tests {
             0x7bff, 0xfbff, // ±65504
             0x7800, 0xf800, // ±32768 (chains toward overflow)
         ];
-        let k = 64usize; // 32 steps: exercises both SIMD blocks and tail
-        let (mt, nt) = (4usize, 8usize);
         let mut state = 12345u32;
-        let mut fill = |len: usize| -> Vec<f32> {
-            (0..len)
-                .map(|i| {
-                    state = state.wrapping_mul(1664525).wrapping_add(1013904223);
-                    if i % 3 == 0 {
-                        F16::from_bits(specials[(state >> 8) as usize % specials.len()]).to_f32()
-                    } else {
-                        F16::from_f32(((state >> 16) as f32 - 32768.0) / 256.0).to_f32()
-                    }
-                })
-                .collect()
+        let mut fill = |rows: usize, cols: usize| {
+            Matrix::from_fn(rows, cols, |r, c| {
+                state = state.wrapping_mul(1664525).wrapping_add(1013904223);
+                if (r + c) % 3 == 0 {
+                    F16::from_bits(specials[(state >> 8) as usize % specials.len()])
+                } else {
+                    F16::from_f32(((state >> 16) as f32 - 32768.0) / 256.0)
+                }
+            })
         };
-        let col_data: Vec<Vec<f32>> = (0..nt).map(|_| fill(k)).collect();
-        let row_data: Vec<Vec<f32>> = (0..mt).map(|_| fill(k)).collect();
-        let cols: Vec<&[f32]> = col_data.iter().map(|c| c.as_slice()).collect();
-        let rows: Vec<&[f32]> = row_data.iter().map(|r| r.as_slice()).collect();
-        let k_steps = k / 2;
-
-        let mut simd = OneSidedThreadAbft::new();
-        // SAFETY: f16c support verified above.
-        let first = unsafe {
-            super::x86::walk_f16_chain(&cols, &rows, k_steps, &mut simd.abft, &mut simd.magnitude)
-        };
-        simd.scalar_steps(&rows, &cols, first, k_steps);
-
-        let mut scalar = OneSidedThreadAbft::new();
-        scalar.scalar_steps(&rows, &cols, 0, k_steps);
-
-        for i in 0..mt {
-            assert_eq!(
-                simd.abft[i].to_bits(),
-                scalar.abft[i].to_bits(),
-                "abft[{i}] drifted"
-            );
-            assert_eq!(
-                simd.magnitude[i].to_bits(),
-                scalar.magnitude[i].to_bits(),
-                "magnitude[{i}] drifted"
-            );
+        let (m, n, k) = (40usize, 72usize, 64usize);
+        let a = fill(m, k);
+        let b = fill(k, n);
+        let mut ws = Workspace::new();
+        for tiling in TilingConfig::candidates() {
+            let engine = GemmEngine::new(GemmShape::new(m as u64, n as u64, k as u64), tiling);
+            let label = format!("{tiling:?} adversarial");
+            assert_staged_matches_replay(&engine, &a, &b, &[], &mut ws, &label);
         }
     }
 

@@ -213,3 +213,79 @@ fn every_scheme_family_reproduces_the_canonical_outputs_per_dtype() {
         }
     }
 }
+
+/// The thread-level schemes, whose per-lane verdicts carry provenance.
+const THREAD_SCHEMES: [Scheme; 4] = [
+    Scheme::ThreadLevelOneSided,
+    Scheme::ThreadLevelTwoSided,
+    Scheme::ReplicationSingleAcc,
+    Scheme::ReplicationTraditional,
+];
+
+/// FNV-1a over every detection's `(block, warp, lane, residual bits,
+/// threshold bits)` of one scheme's faulted runs: the golden shapes
+/// under a mid-walk and an epilogue fault, plus the bf16/fp8 pins under
+/// the mid-walk fault. Pins what the output hashes cannot see — that
+/// verdicts, their residuals, thresholds and detection order stay
+/// bit-identical across changes to how a scheme computes its checks.
+fn verdict_hash(scheme: Scheme) -> u64 {
+    let reg = registry::shared();
+    let mut h = 0xcbf29ce484222325u64;
+    let mut feed = |x: u64| {
+        for b in x.to_le_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100000001b3);
+        }
+    };
+    let mut runs: Vec<(Matrix, Matrix, FaultPlan)> = Vec::new();
+    for &(m, n, k, seed, _, _) in GOLDEN {
+        let a = Matrix::random(m, k, seed);
+        let b = Matrix::random(k, n, seed + 1);
+        let epilogue = FaultPlan {
+            row: m / 3,
+            col: n - 1,
+            after_step: u64::MAX,
+            kind: FaultKind::BitFlip(27),
+        };
+        runs.push((a.clone(), b.clone(), mid_fault(m, n)));
+        runs.push((a, b, epilogue));
+    }
+    for &(dtype, m, n, k, seed, _, _) in GOLDEN_DTYPE {
+        let a = Matrix::random_dtype(m, k, seed, dtype);
+        let b = Matrix::random_dtype(k, n, seed + 1, dtype);
+        runs.push((a, b, mid_fault(m, n)));
+    }
+    for (a, b, fault) in &runs {
+        let shape = GemmShape::new(a.rows as u64, b.cols as u64, a.cols as u64);
+        let engine = GemmEngine::with_default_tiling(shape);
+        let report = reg.resolve(scheme).bind(b).run(&engine, a, &[*fault]);
+        feed(report.output.detections.len() as u64);
+        for d in &report.output.detections {
+            feed(d.block.0);
+            feed(d.block.1);
+            feed(d.warp);
+            feed(d.lane as u64);
+            feed(d.residual.to_bits());
+            feed(d.threshold.to_bits());
+        }
+    }
+    h
+}
+
+/// (scheme, verdict hash) — recorded before the one-sided scheme's
+/// checks moved to shared per-GEMM/per-block passes.
+const VERDICT_GOLDEN: &[(Scheme, u64)] = &[
+    (Scheme::ThreadLevelOneSided, 0x0d82b2f0f090b818),
+    (Scheme::ThreadLevelTwoSided, 0xaeee87c95f877f89),
+    (Scheme::ReplicationSingleAcc, 0xc9131ffe2d5c4ff7),
+    (Scheme::ReplicationTraditional, 0xb6f80507d6324a61),
+];
+
+#[test]
+fn thread_level_verdicts_reproduce_their_golden_bits() {
+    for &scheme in &THREAD_SCHEMES {
+        let want = VERDICT_GOLDEN.iter().find(|(s, _)| *s == scheme).unwrap().1;
+        let got = verdict_hash(scheme);
+        assert_eq!(got, want, "{scheme} verdict bits drifted: {got:#018x}");
+    }
+}

@@ -30,6 +30,8 @@
 //! - [`walk`] (private) — block execution: microkernel tile fill, then
 //!   the per-lane epilogue (scheme hooks, fault targeting, verdicts)
 //!   with a step-ordered fragment replay for hooked schemes;
+//! - `row_checks` (private) — one-sided ABFT's shared passes: B
+//!   checksum chains staged once per GEMM, row sums once per block;
 //! - this module — [`GemmEngine`] itself with the two execution entry
 //!   points and output assembly.
 //!
@@ -52,6 +54,7 @@
 pub mod fault_inject;
 pub mod matrix;
 pub mod panels;
+mod row_checks;
 pub mod scheme;
 pub mod simd;
 mod walk;
@@ -61,7 +64,8 @@ pub use fault_inject::{Detection, FaultKind, FaultPlan};
 pub use matrix::{gemm_reference_f64, Im2colView, Matrix, MatrixLayout};
 pub use panels::{CheckScratch, Workspace};
 pub use scheme::{
-    KStep, LaneWalk, NoScheme, SchemeCounters, ThreadCtx, ThreadLocalScheme, ThreadVerdict,
+    replay_walk, KStep, LaneWalk, NoScheme, SchemeCounters, ThreadCtx, ThreadLocalScheme,
+    ThreadVerdict,
 };
 pub use simd::GemmPath;
 
@@ -76,12 +80,20 @@ use panels::{BlockScratch, Panels};
 /// 256³ GEMM) sits exactly at the threshold.
 pub const BLOCK_PAR_MIN_FLOPS: u128 = 32 * 1024 * 1024;
 
-/// Test seam: forces the stripe-parallel worker count (0 = off) so the
-/// block-parallel arm can be exercised on single-core runners, where
-/// `effective_workers` would otherwise always serialize. Only consulted
-/// when a problem already qualifies for the parallel regime.
-#[cfg(test)]
+/// Forced stripe-parallel worker count (0 = none); see
+/// [`force_block_workers`].
 static FORCE_WORKERS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+
+/// Process-global test override of [`GemmEngine::run_multi_into`]'s
+/// stripe-parallel worker count (`None` restores normal selection), so
+/// the block-parallel arm can be exercised on single-core runners, where
+/// `effective_workers` would otherwise always serialize. Only consulted
+/// when a problem already qualifies for the parallel regime, whose
+/// results are byte-identical to the sequential regime's — so a forced
+/// count never changes what a concurrent run computes.
+pub fn force_block_workers(workers: Option<usize>) {
+    FORCE_WORKERS.store(workers.unwrap_or(0), std::sync::atomic::Ordering::Relaxed);
+}
 
 /// Aggregated execution statistics of one engine run.
 #[derive(Clone, Copy, Debug, Default)]
@@ -167,6 +179,22 @@ impl GemmEngine {
         self.tiling
     }
 
+    /// Capability probe of one scheme instance: whether to stage the raw
+    /// FP16 panels and the one-sided B checksums. Schemes that never
+    /// consume K-step fragments (the serving common case) skip both and
+    /// the per-lane walk; fragment consumers that only read the decoded
+    /// views skip the raw staging too.
+    fn probe_staging<S, F>(&self, make_scheme: &F) -> (bool, Option<&TilingConfig>)
+    where
+        S: ThreadLocalScheme,
+        F: Fn() -> S,
+    {
+        let probe = make_scheme();
+        let hooked = probe.needs_k_steps();
+        let chains = (hooked && probe.uses_row_checksums()).then_some(&self.tiling);
+        (hooked && probe.uses_raw_fragments(), chains)
+    }
+
     /// Covered (grid-padded) output extent and the padded K.
     fn coverage(&self) -> (u64, u64, usize, usize, usize) {
         let (gm, gn) = self.tiling.grid(self.shape);
@@ -216,16 +244,10 @@ impl GemmEngine {
         let (gm, gn, cov_m, cov_n, k) = self.coverage();
         let k_steps = self.tiling.k_steps(self.shape);
 
-        // Capability probe: schemes that never consume K-step fragments
-        // (the serving common case) let the engine skip both the raw
-        // FP16 panel staging and the per-step virtual call; fragment
-        // consumers that only read the decoded views skip the raw
-        // staging too.
-        let probe = make_scheme();
-        let needs16 = probe.needs_k_steps() && probe.uses_raw_fragments();
+        let (needs16, chains) = self.probe_staging(&make_scheme);
         let path = simd::active_path();
         let mut panels = Panels::default();
-        panels.stage(a, b, needs16, path.is_simd(), cov_m, cov_n, k);
+        panels.stage(a, b, needs16, path.is_simd(), chains, cov_m, cov_n, k);
 
         let blocks: Vec<(u64, u64)> = (0..gm)
             .flat_map(|br| (0..gn).map(move |bc| (br, bc)))
@@ -302,11 +324,10 @@ impl GemmEngine {
         let (gm, gn, cov_m, cov_n, k) = self.coverage();
         let k_steps = self.tiling.k_steps(self.shape);
 
-        let probe = make_scheme();
-        let needs16 = probe.needs_k_steps() && probe.uses_raw_fragments();
+        let (needs16, chains) = self.probe_staging(&make_scheme);
         let path = simd::active_path();
         ws.panels
-            .stage(a, b, needs16, path.is_simd(), cov_m, cov_n, k);
+            .stage(a, b, needs16, path.is_simd(), chains, cov_m, cov_n, k);
         ws.out.reset(out_m, out_n);
 
         let stripes = gm as usize;
@@ -316,7 +337,6 @@ impl GemmEngine {
         } else {
             1
         };
-        #[cfg(test)]
         let workers = match FORCE_WORKERS.load(std::sync::atomic::Ordering::Relaxed) {
             0 => workers,
             f if stripes >= 2 && flops >= BLOCK_PAR_MIN_FLOPS => f.min(stripes),

@@ -3,7 +3,9 @@
 //! [`Panels`] holds the per-run operand form the engine executes from:
 //! pre-decoded f32 panels (B transposed so a thread's K-walk streams
 //! both operands linearly) plus the raw padded FP16 panels, staged only
-//! when a scheme consumes per-step fragments.
+//! when a scheme consumes per-step fragments, and the per-column-group
+//! B checksums, staged only for one-sided row checks (see
+//! `row_checks`).
 //!
 //! [`Workspace`] owns *all* per-run scratch — panels, the per-block
 //! accumulator tile, per-thread chunk buffers, the output buffer, and
@@ -16,7 +18,7 @@
 use super::fault_inject::{Detection, FaultKind};
 use super::matrix::Matrix;
 use super::scheme::ThreadCtx;
-use super::{simd, EngineCounters, GemmOutput};
+use super::{row_checks, simd, EngineCounters, GemmOutput};
 use crate::tiling::TilingConfig;
 use aiga_dtype::Dtype;
 
@@ -43,6 +45,14 @@ pub(crate) struct Panels {
     /// B re-packed into `MICRO_PANEL`-wide K-major panels
     /// (see [`simd::pack_b`]); empty when the scalar path is active.
     pub(crate) b_pack: Vec<f32>,
+    /// Per-column-group B-row checksum chains for one-sided row checks
+    /// (layout in [`row_checks::stage_chains`]); empty unless staged.
+    pub(crate) chains: Vec<f32>,
+    /// The f64 magnitude sums matching `chains`.
+    pub(crate) chains_abs: Vec<f64>,
+    /// Column groups per block column in `chains`, 0 when the chains
+    /// are not staged for this run.
+    pub(crate) chain_groups: usize,
     /// Shared inner dimension (the engine's padded K).
     pub(crate) k: usize,
     /// Storage format of the staged operands (both must agree); K-step
@@ -55,7 +65,8 @@ impl Panels {
     /// FP16 → f32 is exact, so every downstream product and
     /// accumulation is bit-identical to decoding inside the K-loop.
     /// `pack` additionally stages the microkernel pack layouts (skipped
-    /// on the scalar path, which reads the decoded panels directly).
+    /// on the scalar path, which reads the decoded panels directly);
+    /// `chains` stages the one-sided B checksums for that tiling.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn stage(
         &mut self,
@@ -63,6 +74,7 @@ impl Panels {
         b: &Matrix,
         needs16: bool,
         pack: bool,
+        chains: Option<&TilingConfig>,
         cov_m: usize,
         cov_n: usize,
         k: usize,
@@ -79,6 +91,20 @@ impl Panels {
         if pack {
             simd::pack_a(&self.a_f32, cov_m, k, &mut self.a_pack);
             simd::pack_b(&self.b_f32_t, cov_n, k, &mut self.b_pack);
+        }
+        self.chain_groups = 0;
+        if let Some(tiling) = chains {
+            row_checks::stage_chains(
+                &self.b_f32_t,
+                cov_n,
+                k,
+                tiling,
+                self.dtype,
+                pack,
+                &mut self.chains,
+                &mut self.chains_abs,
+            );
+            self.chain_groups = row_checks::groups_per_block(tiling);
         }
         self.k = k;
     }
@@ -99,6 +125,11 @@ pub(crate) struct BlockScratch {
     pub(crate) fault_targets: Vec<(usize, u64, FaultKind)>,
     /// Reused thread identity (rows/cols vectors keep their capacity).
     pub(crate) ctx: ThreadCtx,
+    /// One-sided running checksums of the block's rows × column groups
+    /// (filled by [`row_checks::row_pass`] when the chains are staged).
+    pub(crate) row_abft: Vec<f32>,
+    /// The matching f64 magnitude bounds.
+    pub(crate) row_magnitude: Vec<f64>,
 }
 
 impl BlockScratch {

@@ -105,7 +105,9 @@ pub struct KStep<'a> {
 /// B panels are stored transposed so a K-walk streams them linearly).
 /// The raw storage-code panels mirror the decoded layouts and are empty
 /// when the scheme opted out via
-/// [`ThreadLocalScheme::uses_raw_fragments`].
+/// [`ThreadLocalScheme::uses_raw_fragments`]; the row checksums are
+/// empty unless the scheme opted in via
+/// [`ThreadLocalScheme::uses_row_checksums`].
 #[derive(Clone, Copy, Debug)]
 pub struct LaneWalk<'a> {
     /// Decoded A panel, `cov_m × k` row-major.
@@ -126,6 +128,14 @@ pub struct LaneWalk<'a> {
     pub k_steps: u64,
     /// Storage format of the staged operands.
     pub dtype: Dtype,
+    /// The lane's finished one-sided running checksums, one per owned
+    /// row (ordered as `rows`): `Σ_steps a0·w0 + a1·w1` over the K-walk,
+    /// where `w0`/`w1` are the lane's per-step B-row checksums (see
+    /// [`ThreadLocalScheme::uses_row_checksums`]).
+    pub row_abft: &'a [f32],
+    /// The matching per-row magnitude bounds,
+    /// `Σ_steps |a0|·Σ|b0| + |a1|·Σ|b1|` in f64.
+    pub row_magnitude: &'a [f64],
 }
 
 /// A redundancy scheme living inside the thread-level inner loop.
@@ -166,6 +176,29 @@ pub trait ThreadLocalScheme: Send {
         true
     }
 
+    /// Capability hook: whether the scheme's whole K-walk is the
+    /// one-sided row-checksum product of §5.2.2 — per step, the lane's
+    /// two B-row checksums `w0`/`w1` (each a [`Dtype::chain_add`] chain
+    /// over the lane's `Nt` columns, plus the f64 sum of their
+    /// magnitudes) multiplied against each owned A row:
+    ///
+    /// ```text
+    /// abft[i]      += a0 * w0 + a1 * w1                 (f32, no FMA)
+    /// magnitude[i] += |a0| * Σ|b0| + |a1| * Σ|b1|       (f64)
+    /// ```
+    ///
+    /// When this returns `true` the engine computes that product in two
+    /// shared passes instead of once per lane — the B chains once per
+    /// GEMM at panel staging, the row sums once per block for all of
+    /// the block's column groups — and hands each lane its finished
+    /// values in [`LaneWalk::row_abft`]/[`LaneWalk::row_magnitude`].
+    /// Every operation and its order match the per-step formula above,
+    /// so the values are bit-identical to accumulating it step by step.
+    /// Must be constant per factory, like [`Self::needs_k_steps`].
+    fn uses_row_checksums(&self) -> bool {
+        false
+    }
+
     /// Called for every K-step with the fragments the thread just loaded
     /// (raw FP16 and pre-decoded f32 views — see [`KStep`]). Sharing
     /// these loads is what keeps thread-level ABFT free of extra memory
@@ -182,43 +215,7 @@ pub trait ThreadLocalScheme: Send {
     /// verdicts, residuals, and counters stay bit-identical across the
     /// two paths. Only called when [`Self::needs_k_steps`] is true.
     fn walk_lane(&mut self, walk: &LaneWalk<'_>) {
-        use crate::tiling::{MAX_THREAD_MT, MAX_THREAD_NT, STEP_K};
-        let (mt, nt, k) = (walk.rows.len(), walk.cols.len(), walk.k);
-        assert_eq!(
-            walk.a16.len(),
-            walk.a_f32.len(),
-            "raw FP16 panels must be staged when a scheme consumes raw fragments"
-        );
-        let mut a_chunk = [F16::ZERO; MAX_THREAD_MT * 2];
-        let mut b_chunk = [F16::ZERO; 2 * MAX_THREAD_NT];
-        let mut af_chunk = [0.0f32; MAX_THREAD_MT * 2];
-        let mut bf_chunk = [0.0f32; 2 * MAX_THREAD_NT];
-        for step in 0..walk.k_steps {
-            let k0 = (step * STEP_K) as usize;
-            for (ri, &r) in walk.rows.iter().enumerate() {
-                let base = r * k + k0;
-                a_chunk[ri * 2] = walk.a16[base];
-                a_chunk[ri * 2 + 1] = walk.a16[base + 1];
-                af_chunk[ri * 2] = walk.a_f32[base];
-                af_chunk[ri * 2 + 1] = walk.a_f32[base + 1];
-            }
-            for (ci, &c) in walk.cols.iter().enumerate() {
-                let base = c * k + k0;
-                b_chunk[ci] = walk.b16_t[base];
-                b_chunk[nt + ci] = walk.b16_t[base + 1];
-                bf_chunk[ci] = walk.b_f32_t[base];
-                bf_chunk[nt + ci] = walk.b_f32_t[base + 1];
-            }
-            self.on_k_step(&KStep {
-                a: &a_chunk[..mt * 2],
-                b: &b_chunk[..2 * nt],
-                a_f32: &af_chunk[..mt * 2],
-                b_f32: &bf_chunk[..2 * nt],
-                mt,
-                nt,
-                dtype: walk.dtype,
-            });
-        }
+        replay_walk(self, walk);
     }
 
     /// Called once after the K-walk with the thread's final `Mt × Nt`
@@ -231,6 +228,52 @@ pub trait ThreadLocalScheme: Send {
     }
 }
 
+/// The step-ordered fragment replay behind the default
+/// [`ThreadLocalScheme::walk_lane`]: gathers each K-step's `Mt × 2` A
+/// and `2 × Nt` B fragments (raw and decoded) from the panel slices and
+/// feeds them to [`ThreadLocalScheme::on_k_step`] in step order. Public
+/// so a scheme (or a test wrapper) that overrides `walk_lane` can still
+/// fall back to the replay. Requires the raw panels to be staged.
+pub fn replay_walk<S: ThreadLocalScheme + ?Sized>(scheme: &mut S, walk: &LaneWalk<'_>) {
+    use crate::tiling::{MAX_THREAD_MT, MAX_THREAD_NT, STEP_K};
+    let (mt, nt, k) = (walk.rows.len(), walk.cols.len(), walk.k);
+    assert_eq!(
+        walk.a16.len(),
+        walk.a_f32.len(),
+        "raw FP16 panels must be staged when a scheme consumes raw fragments"
+    );
+    let mut a_chunk = [F16::ZERO; MAX_THREAD_MT * 2];
+    let mut b_chunk = [F16::ZERO; 2 * MAX_THREAD_NT];
+    let mut af_chunk = [0.0f32; MAX_THREAD_MT * 2];
+    let mut bf_chunk = [0.0f32; 2 * MAX_THREAD_NT];
+    for step in 0..walk.k_steps {
+        let k0 = (step * STEP_K) as usize;
+        for (ri, &r) in walk.rows.iter().enumerate() {
+            let base = r * k + k0;
+            a_chunk[ri * 2] = walk.a16[base];
+            a_chunk[ri * 2 + 1] = walk.a16[base + 1];
+            af_chunk[ri * 2] = walk.a_f32[base];
+            af_chunk[ri * 2 + 1] = walk.a_f32[base + 1];
+        }
+        for (ci, &c) in walk.cols.iter().enumerate() {
+            let base = c * k + k0;
+            b_chunk[ci] = walk.b16_t[base];
+            b_chunk[nt + ci] = walk.b16_t[base + 1];
+            bf_chunk[ci] = walk.b_f32_t[base];
+            bf_chunk[nt + ci] = walk.b_f32_t[base + 1];
+        }
+        scheme.on_k_step(&KStep {
+            a: &a_chunk[..mt * 2],
+            b: &b_chunk[..2 * nt],
+            a_f32: &af_chunk[..mt * 2],
+            b_f32: &bf_chunk[..2 * nt],
+            mt,
+            nt,
+            dtype: walk.dtype,
+        });
+    }
+}
+
 /// Boxed schemes forward to the inner implementation, so heterogeneous
 /// scheme kernels (`aiga-core`'s `SchemeKernel` trait objects) can drive
 /// the generic engine without monomorphizing per scheme.
@@ -240,6 +283,9 @@ impl ThreadLocalScheme for Box<dyn ThreadLocalScheme> {
     }
     fn uses_raw_fragments(&self) -> bool {
         (**self).uses_raw_fragments()
+    }
+    fn uses_row_checksums(&self) -> bool {
+        (**self).uses_row_checksums()
     }
     fn begin(&mut self, ctx: &ThreadCtx) {
         (**self).begin(ctx)

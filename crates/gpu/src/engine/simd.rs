@@ -346,7 +346,7 @@ mod tests {
         let a = Matrix::random(m, k, seed);
         let b = Matrix::random(k, n, seed + 1);
         let mut p = Panels::default();
-        p.stage(&a, &b, false, true, m, n, k);
+        p.stage(&a, &b, false, true, None, m, n, k);
         p
     }
 

@@ -275,7 +275,7 @@ fn block_parallel_stripes_are_byte_identical_to_sequential() {
     let seq_clean = eng.run_multi(&a, &b, || FlagAll, &[]);
     let seq_fault = eng.run_multi(&a, &b, || NoScheme, &faults);
     let mut ws = Workspace::new();
-    super::FORCE_WORKERS.store(3, std::sync::atomic::Ordering::Relaxed);
+    super::force_block_workers(Some(3));
     {
         let par = eng.run_multi_into(&a, &b, || FlagAll, &[], &mut ws);
         assert_eq!(seq_clean.c, par.c);
@@ -288,7 +288,7 @@ fn block_parallel_stripes_are_byte_identical_to_sequential() {
         let par = eng.run_multi_into(&a, &b, || NoScheme, &faults, &mut ws);
         assert_eq!(seq_fault.c, par.c);
     }
-    super::FORCE_WORKERS.store(0, std::sync::atomic::Ordering::Relaxed);
+    super::force_block_workers(None);
 }
 
 #[test]

@@ -4,14 +4,26 @@
 //! fault injection, and per-thread verdicts — against the tile.
 //!
 //! Schemes that consume per-step fragments get the whole K-walk in one
-//! [`ThreadLocalScheme::walk_lane`] call (whose default implementation
-//! replays it step by step through `on_k_step`, feeding exactly the
-//! fragments the old fused walk fed), without redoing the accumulator
-//! math: accumulators are read back from the tile, which already holds
-//! the canonical-order values. Faulted accumulators are the one
-//! exception — they are recomputed by the scalar cold walk with the
-//! corruption applied mid-walk (accumulators are independent, so this
-//! reproduces the faulted value bit-exactly).
+//! [`ThreadLocalScheme::walk_lane`] call, without redoing the
+//! accumulator math: accumulators are read back from the tile, which
+//! already holds the canonical-order values. The K-walk itself is one
+//! of two shapes:
+//!
+//! - the default step replay ([`super::scheme::replay_walk`]), which
+//!   feeds `on_k_step` exactly the fragments the lane loaded;
+//! - for schemes whose walk is the one-sided row-checksum product
+//!   ([`ThreadLocalScheme::uses_row_checksums`]), shared passes: the B
+//!   chains were staged once per GEMM with the panels, and
+//!   [`run_block`] runs one row pass per block — every block row
+//!   against the block's column groups (see [`super::row_checks`]) —
+//!   before the lane loop, so each lane only picks up its `Mt`
+//!   finished values. The pass runs wherever the block runs, so it
+//!   parallelizes with the microkernel across stripe workers.
+//!
+//! Faulted accumulators are the one exception to reading the tile —
+//! they are recomputed by the scalar cold walk with the corruption
+//! applied mid-walk (accumulators are independent, so this reproduces
+//! the faulted value bit-exactly).
 //!
 //! Everything here writes into caller-owned scratch
 //! ([`BlockScratch`][super::panels::BlockScratch]) — the loops allocate
@@ -20,10 +32,11 @@
 
 use super::fault_inject::{Detection, FaultKind, FaultPlan};
 use super::panels::{BlockScratch, Panels};
+use super::row_checks;
 use super::scheme::{LaneWalk, ThreadLocalScheme};
 use super::simd::{self, GemmPath};
 use super::EngineCounters;
-use crate::tiling::{TilingConfig, STEP_K};
+use crate::tiling::{TilingConfig, MAX_THREAD_MT, STEP_K};
 use aiga_fp16::F16;
 
 /// Executes threadblock `(br, bc)`: the microkernel computes the block
@@ -62,6 +75,21 @@ pub(crate) fn run_block<S, F>(
     // in the canonical accumulation order (padded rows/columns are zero
     // in the panels, so computing them is harmless and branch-free).
     simd::fill_block_tile(path, panels, row0, col0, bm, bn, &mut scratch.tile);
+
+    // One-sided row checks: every block row against every column group
+    // of the block, once, instead of once per lane.
+    let groups = panels.chain_groups;
+    if groups > 0 {
+        row_checks::row_pass(
+            path,
+            panels,
+            row0,
+            bm,
+            bc as usize,
+            &mut scratch.row_abft,
+            &mut scratch.row_magnitude,
+        );
+    }
 
     scratch.ctx.block = (br, bc);
 
@@ -106,17 +134,27 @@ pub(crate) fn run_block<S, F>(
                 scheme.begin(&scratch.ctx);
 
                 if scheme.needs_k_steps() {
-                    // Whole-lane walk for hooked schemes: the scheme
-                    // sees the same step-ordered fragments the fused
-                    // walk used to feed it (via the default per-step
-                    // replay, or a scheme's own fused walk over the
-                    // panel slices); the accumulator math itself
-                    // already happened in the microkernel. Raw panels
-                    // are staged only when the scheme consumes them.
+                    // Whole-lane walk for hooked schemes: the per-step
+                    // replay or the row checksums of the shared passes;
+                    // the accumulator math itself already happened in
+                    // the microkernel. Raw panels are staged only when
+                    // the scheme consumes them.
                     let (a16, b16_t): (&[F16], &[F16]) = if panels.staged16 {
                         (&panels.a16.data, &panels.b16_t.data)
                     } else {
                         (&[], &[])
+                    };
+                    let mut row_abft = [0.0f32; MAX_THREAD_MT];
+                    let mut row_magnitude = [0.0f64; MAX_THREAD_MT];
+                    let checked = if groups > 0 {
+                        let j = row_checks::lane_group(wc as usize, quad);
+                        for (ri, &r) in scratch.ctx.rows.iter().enumerate() {
+                            row_abft[ri] = scratch.row_abft[(r - row0) * groups + j];
+                            row_magnitude[ri] = scratch.row_magnitude[(r - row0) * groups + j];
+                        }
+                        mt
+                    } else {
+                        0
                     };
                     scheme.walk_lane(&LaneWalk {
                         a_f32: &panels.a_f32,
@@ -128,6 +166,8 @@ pub(crate) fn run_block<S, F>(
                         cols: &scratch.ctx.cols,
                         k_steps,
                         dtype: panels.dtype,
+                        row_abft: &row_abft[..checked],
+                        row_magnitude: &row_magnitude[..checked],
                     });
                 }
 

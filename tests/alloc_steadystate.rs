@@ -44,7 +44,14 @@
 //!    usual report-only constant;
 //!
 //! 7. the correction path (`run_corrected_into`) stays zero-alloc once
-//!    warm across the localizer families.
+//!    warm across the localizer families;
+//!
+//! 8. one-sided thread-level ABFT's shared-pass buffers (the per-GEMM
+//!    B checksum chains in the panels, the per-block row checksums in
+//!    the block scratch) ratchet like every other workspace buffer: a
+//!    workspace cycling through every tiling candidate and mixed shapes,
+//!    interleaved with a scheme that stages none of them, is exactly
+//!    zero-alloc after one warm cycle.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -372,5 +379,36 @@ fn steady_state_hot_paths_do_not_allocate() {
             }
         });
         assert_eq!(n, 0, "{scheme}: warm correction path allocated {n} times");
+    }
+
+    // --- 8. One-sided shared-pass buffers across tilings and shapes.
+    {
+        use aiga_gpu::engine::NoScheme;
+        use aiga_gpu::TilingConfig;
+        let runs: Vec<(GemmEngine, Matrix, Matrix)> = TilingConfig::candidates()
+            .into_iter()
+            .flat_map(|tiling| {
+                [(48usize, 40usize, 56usize), (130, 200, 72)]
+                    .into_iter()
+                    .map(move |(m, n, k)| {
+                        let shape = GemmShape::new(m as u64, n as u64, k as u64);
+                        (
+                            GemmEngine::new(shape, tiling),
+                            Matrix::random(m, k, 91),
+                            Matrix::random(k, n, 92),
+                        )
+                    })
+            })
+            .collect();
+        let mut ws = Workspace::new();
+        let cycle = |ws: &mut Workspace| {
+            for (engine, a, b) in &runs {
+                engine.run_multi_into(a, b, OneSidedThreadAbft::new, &[], ws);
+                engine.run_multi_into(a, b, || NoScheme, &[], ws);
+            }
+        };
+        cycle(&mut ws); // ratchet every buffer to its high-water mark
+        let n = allocs_during(|| cycle(&mut ws));
+        assert_eq!(n, 0, "one-sided shared passes allocated {n} times");
     }
 }

@@ -27,15 +27,46 @@ fn session() -> Session {
     .build()
 }
 
-/// A request large enough to pin a single worker for a while: 160 rows
-/// over a largest bucket of 32 splits into five chunked passes.
-fn plug(client: &Client) -> Pending {
-    client.submit(&Matrix::random(160, 13, 4242)).unwrap()
+/// How long a plug must hold the worker: the longest wait any test
+/// here spends behind one (`shed_after` + 10 ms in the shedding test).
+const PLUG_HOLD: Duration = Duration::from_millis(30);
+
+/// Rows of a request that pins a single worker for at least
+/// [`PLUG_HOLD`]. A request over the largest bucket (32) splits into
+/// 32-row chunked passes; the chunk count comes from the fastest of
+/// three solo 32-row passes timed on an identical warm session, with a
+/// 4× margin and never fewer than five chunks. Sized from a measurement
+/// instead of a fixed row count, the plug keeps holding however fast
+/// the protected passes get.
+fn plug_rows() -> usize {
+    let probe = session();
+    let chunk = Matrix::random(32, 13, 4242);
+    probe.serve(&chunk).unwrap(); // build the plan, warm the pool
+    let pass = (0..3)
+        .map(|_| {
+            let started = Instant::now();
+            probe.serve(&chunk).unwrap();
+            started.elapsed()
+        })
+        .min()
+        .unwrap();
+    let chunks = (4 * PLUG_HOLD.as_nanos()).div_ceil(pass.as_nanos().max(1));
+    32 * (chunks as usize).max(5)
+}
+
+/// Submits a [`plug_rows`]-row request; returns it with its row count.
+fn plug(client: &Client) -> (Pending, usize) {
+    let rows = plug_rows();
+    (
+        client.submit(&Matrix::random(rows, 13, 4242)).unwrap(),
+        rows,
+    )
 }
 
 #[test]
 fn overaged_queues_shed_promptly_with_overloaded() {
     let shed_after = Duration::from_millis(20);
+    assert!(shed_after + Duration::from_millis(10) <= PLUG_HOLD);
     let server = Server::builder(session())
         .workers(1)
         .shed_after(shed_after)
@@ -44,7 +75,7 @@ fn overaged_queues_shed_promptly_with_overloaded() {
 
     // Pin the worker, then let one queued request age past the shed
     // threshold.
-    let plugged = plug(&client);
+    let (plugged, rows) = plug(&client);
     let victim = client.submit(&Matrix::random(4, 13, 1)).unwrap();
     std::thread::sleep(shed_after + Duration::from_millis(10));
 
@@ -82,7 +113,7 @@ fn overaged_queues_shed_promptly_with_overloaded() {
     };
     assert!(queue_age >= shed_after);
 
-    assert_eq!(plugged.wait().unwrap().rows, 160);
+    assert_eq!(plugged.wait().unwrap().rows, rows);
     assert_eq!(high.wait().unwrap().rows, 4);
 
     let stats = server.shutdown();
@@ -94,7 +125,7 @@ fn overaged_queues_shed_promptly_with_overloaded() {
 fn requests_past_their_own_slo_deadline_are_shed() {
     let server = Server::builder(session()).workers(1).build();
     let client = server.client();
-    let plugged = plug(&client);
+    let (plugged, _) = plug(&client);
     // Even without server-wide thresholds, a request's own deadline
     // sheds it — High priority included (it is the caller's budget).
     let stale = client
@@ -227,7 +258,7 @@ fn repeated_worker_kills_do_not_wedge_a_multiworker_server() {
 fn cancel_reclaims_the_batch_slot_before_a_worker_reaches_it() {
     let server = Server::builder(session()).workers(1).build();
     let client = server.client();
-    let plugged = plug(&client);
+    let (plugged, _) = plug(&client);
     let doomed = client.submit(&Matrix::random(4, 13, 30)).unwrap();
     assert!(doomed.cancel(), "no result yet: cancel registers");
     let err = doomed.wait().unwrap_err();
