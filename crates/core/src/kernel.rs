@@ -378,11 +378,11 @@ impl BoundKernel for GlobalBound {
         ws: &mut Workspace,
     ) -> Verdict {
         engine.run_multi_into(activations, &self.weights, || NoScheme, faults, ws);
-        // The deferred reduce-and-compare (§2.5 step 5) runs off the
-        // workspace's checksum scratch — no per-request allocation.
-        let (output, check) = ws.output_and_check();
-        let v = self.abft.verify_with(activations, output, check);
-        verdict_from_global(v)
+        // The deferred reduce-and-compare (§2.5 step 5) reads the A
+        // panel the engine just staged and runs off the workspace's
+        // checksum scratch — no per-request allocation.
+        let (a, output, check) = ws.verify_split();
+        verdict_from_global(self.abft.verify_panel(a, output, check))
     }
 
     fn run(&self, engine: &GemmEngine, activations: &Matrix, faults: &[FaultPlan]) -> RunReport {
@@ -391,17 +391,15 @@ impl BoundKernel for GlobalBound {
         RunReport { verdict, output }
     }
 
-    /// Column localization: the weight checksum gives the *expected*
-    /// column sum `Σ_k chk(A)[k]·B[k][j]` for every output column; the
-    /// column whose observed sum deviates most is the faulted one (a
-    /// single corrupted cell perturbs exactly one column sum by δ).
-    /// Recompute that column, then re-verify the whole layer — a
-    /// mislocalized repair rewrites identical bits and fails the
-    /// re-check, so the original verdict survives.
+    /// Column localization ([`GlobalAbft::localize_column`], from the
+    /// activation checksum `run_into` left in the workspace): recompute
+    /// the implicated column, then re-check `Σ C` against the unchanged
+    /// activation checksum — a mislocalized repair rewrites identical
+    /// bits and fails the re-check, so the original verdict survives.
     fn correct_into(
         &self,
         _engine: &GemmEngine,
-        activations: &Matrix,
+        _activations: &Matrix,
         ws: &mut Workspace,
         verdict: Verdict,
     ) -> Verdict {
@@ -412,35 +410,11 @@ impl BoundKernel for GlobalBound {
         else {
             return verdict;
         };
-        let col = {
-            let (output, check) = ws.output_and_check();
-            GlobalAbft::activation_checksum_into(activations, check);
-            let mut best = 0usize;
-            let mut best_diff = f64::NEG_INFINITY;
-            for j in 0..output.n {
-                let mut expected = 0.0f64;
-                for (k, &chk) in check.chk.iter().enumerate() {
-                    expected += chk as f64 * self.weights.get_f64(k, j);
-                }
-                let mut observed = 0.0f64;
-                for i in 0..output.m {
-                    observed += output.get(i, j) as f64;
-                }
-                let diff = (expected - observed).abs();
-                if diff > best_diff {
-                    best_diff = diff;
-                    best = j;
-                }
-            }
-            best
-        };
+        let (_, output, check) = ws.verify_split();
+        let col = self.abft.localize_column(&self.weights, output, check);
         ws.recompute_col(col);
-        let (output, check) = ws.output_and_check();
-        if self
-            .abft
-            .verify_with(activations, output, check)
-            .fault_detected
-        {
+        let (_, output, check) = ws.verify_split();
+        if self.abft.check_output(output, check).fault_detected {
             verdict
         } else {
             Verdict::Corrected {

@@ -289,3 +289,180 @@ fn thread_level_verdicts_reproduce_their_golden_bits() {
         assert_eq!(got, want, "{scheme} verdict bits drifted: {got:#018x}");
     }
 }
+
+/// FNV-1a over global ABFT's `(detected, residual bits, threshold
+/// bits)` for the golden shapes — clean, under the mid-walk fault, and
+/// under an epilogue bit flip — plus one implicit-GEMM conv (a strided,
+/// padded `Im2col` view, so the activation checksum reads padding taps).
+/// Pins the verdict bits that the output hashes cannot see, however the
+/// activation checksum and `Σ C` are computed.
+fn global_verdict_hash() -> u64 {
+    use aiga_core::kernel::Verdict;
+    use aiga_core::schemes::GlobalAbft;
+    use aiga_gpu::engine::{Im2colView, NoScheme, Workspace};
+    let reg = registry::shared();
+    let mut h = 0xcbf29ce484222325u64;
+    let mut feed = |x: u64| {
+        for b in x.to_le_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100000001b3);
+        }
+    };
+    let mut runs: Vec<(Matrix, Matrix, Vec<FaultPlan>)> = Vec::new();
+    for &(m, n, k, seed, _, _) in GOLDEN {
+        let a = Matrix::random(m, k, seed);
+        let b = Matrix::random(k, n, seed + 1);
+        let epilogue = FaultPlan {
+            row: m / 3,
+            col: n - 1,
+            after_step: u64::MAX,
+            kind: FaultKind::BitFlip(27),
+        };
+        runs.push((a.clone(), b.clone(), vec![]));
+        runs.push((a.clone(), b.clone(), vec![mid_fault(m, n)]));
+        runs.push((a, b, vec![epilogue]));
+    }
+    let view = Im2colView {
+        channels: 3,
+        height: 9,
+        width: 9,
+        kernel: 3,
+        stride: 2,
+        padding: 1,
+        out_h: 5,
+        out_w: 5,
+    };
+    let images = 2;
+    let t = Matrix::random(1, images * 3 * 9 * 9, 1101);
+    let a = Matrix::im2col_lowered(images, view, t.data);
+    let b = Matrix::random(view.cols(), 16, 1102);
+    runs.push((a.clone(), b.clone(), vec![]));
+    runs.push((a, b, vec![mid_fault(view.rows(images), 16)]));
+    for (a, b, faults) in &runs {
+        let shape = GemmShape::new(a.rows as u64, b.cols as u64, a.cols as u64);
+        let engine = GemmEngine::with_default_tiling(shape);
+        let out = engine.run_multi(a, b, || NoScheme, faults);
+        let v = GlobalAbft::prepare(b).verify(a, &out);
+        feed(v.fault_detected as u64);
+        feed(v.residual.to_bits());
+        feed(v.threshold.to_bits());
+        // The workspace hot path must reach the same verdict bits.
+        let mut ws = Workspace::new();
+        let hot = reg.resolve(Scheme::GlobalAbft).bind(b);
+        match hot.run_into(&engine, a, faults, &mut ws) {
+            Verdict::Detected {
+                residual,
+                threshold,
+            } => {
+                feed(residual.to_bits());
+                feed(threshold.to_bits());
+            }
+            other => assert!(other.is_clean(), "{other:?}"),
+        }
+    }
+    h
+}
+
+/// Recorded before global ABFT read its checksums from the staged panels.
+const GLOBAL_VERDICT_GOLDEN: u64 = 0x2d4434a9fbe87af0;
+
+#[test]
+fn global_verdicts_reproduce_their_golden_bits() {
+    let got = global_verdict_hash();
+    assert_eq!(
+        got, GLOBAL_VERDICT_GOLDEN,
+        "global verdict bits drifted: {got:#018x}"
+    );
+}
+
+/// Several faults on one cell — two mid-walk steps and two epilogue
+/// strikes, interleaved in the plan list — plus one fault in another
+/// block, so the per-cell order (mid-walk in step order, then epilogue
+/// in list order) is pinned.
+fn stacked_faults(m: usize, n: usize) -> Vec<FaultPlan> {
+    let (r, c) = (m / 2, n / 3);
+    vec![
+        FaultPlan {
+            row: r,
+            col: c,
+            after_step: 5,
+            kind: FaultKind::AddValue(3.0),
+        },
+        FaultPlan {
+            row: r,
+            col: c,
+            after_step: u64::MAX,
+            kind: FaultKind::BitFlip(27),
+        },
+        FaultPlan {
+            row: r,
+            col: c,
+            after_step: 2,
+            kind: FaultKind::BitFlip(20),
+        },
+        FaultPlan {
+            row: r,
+            col: c,
+            after_step: u64::MAX,
+            kind: FaultKind::AddValue(-1.5),
+        },
+        FaultPlan {
+            row: m - 1,
+            col: n - 1,
+            after_step: 1,
+            kind: FaultKind::SetValue(7.0),
+        },
+    ]
+}
+
+/// FNV-1a over the workspace-path output bytes, `threads`,
+/// `baseline_mmas` and `k_steps` of Unprotected and Global ABFT under
+/// [`stacked_faults`], for one sequential shape and one shape large
+/// enough for the block-parallel regime (run both forced sequential and
+/// forced onto 3 stripe workers).
+fn fault_pass_hash(scheme: Scheme) -> u64 {
+    use aiga_gpu::engine::{force_block_workers, Workspace};
+    let reg = registry::shared();
+    let mut h = 0xcbf29ce484222325u64;
+    let mut feed = |x: u64| {
+        for b in x.to_le_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100000001b3);
+        }
+    };
+    for &(m, n, k, seed, workers) in &[
+        (48usize, 40usize, 56usize, 1201u64, None),
+        (256, 256, 256, 1202, Some(1)),
+        (256, 256, 256, 1202, Some(3)),
+    ] {
+        let a = Matrix::random(m, k, seed);
+        let b = Matrix::random(k, n, seed + 1);
+        let engine = GemmEngine::with_default_tiling(GemmShape::new(m as u64, n as u64, k as u64));
+        let bound = reg.resolve(scheme).bind(&b);
+        let mut ws = Workspace::new();
+        force_block_workers(workers);
+        bound.run_into(&engine, &a, &stacked_faults(m, n), &mut ws);
+        force_block_workers(None);
+        let out = ws.output();
+        feed(fnv1a_of_c(&out.c));
+        feed(out.counters.threads);
+        feed(out.counters.baseline_mmas);
+        feed(out.counters.k_steps);
+    }
+    h
+}
+
+/// (scheme, fault-pass hash) — recorded before faults moved into one
+/// per-block pass ahead of the lanes.
+const FAULT_PASS_GOLDEN: &[(Scheme, u64)] = &[
+    (Scheme::Unprotected, 0x844ed6c332fc991c),
+    (Scheme::GlobalAbft, 0x844ed6c332fc991c),
+];
+
+#[test]
+fn stacked_faults_reproduce_their_golden_bytes_and_counters() {
+    for &(scheme, want) in FAULT_PASS_GOLDEN {
+        let got = fault_pass_hash(scheme);
+        assert_eq!(got, want, "{scheme} fault-pass bytes drifted: {got:#018x}");
+    }
+}

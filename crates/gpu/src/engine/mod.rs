@@ -27,9 +27,10 @@
 //! - [`simd`] — the register-tiled AVX2+FMA microkernel, the scalar
 //!   oracle, the canonical accumulation-order contract, and the runtime
 //!   dispatch between them ([`GemmPath`], `AIGA_FORCE_SCALAR`);
-//! - [`walk`] (private) — block execution: microkernel tile fill, then
-//!   the per-lane epilogue (scheme hooks, fault targeting, verdicts)
-//!   with a step-ordered fragment replay for hooked schemes;
+//! - [`walk`] (private) — block execution: microkernel tile fill, one
+//!   per-block fault pass over the tile, then — for hooked schemes
+//!   only — the per-lane epilogue (scheme hooks, verdicts) with a
+//!   step-ordered fragment replay;
 //! - `row_checks` (private) — one-sided ABFT's shared passes: B
 //!   checksum chains staged once per GEMM, row sums once per block;
 //! - this module — [`GemmEngine`] itself with the two execution entry
@@ -62,7 +63,7 @@ mod walk;
 pub use aiga_dtype::Dtype;
 pub use fault_inject::{Detection, FaultKind, FaultPlan};
 pub use matrix::{gemm_reference_f64, Im2colView, Matrix, MatrixLayout};
-pub use panels::{CheckScratch, Workspace};
+pub use panels::{APanel, CheckScratch, Workspace};
 pub use scheme::{
     replay_walk, KStep, LaneWalk, NoScheme, SchemeCounters, ThreadCtx, ThreadLocalScheme,
     ThreadVerdict,
@@ -179,12 +180,13 @@ impl GemmEngine {
         self.tiling
     }
 
-    /// Capability probe of one scheme instance: whether to stage the raw
-    /// FP16 panels and the one-sided B checksums. Schemes that never
-    /// consume K-step fragments (the serving common case) skip both and
-    /// the per-lane walk; fragment consumers that only read the decoded
-    /// views skip the raw staging too.
-    fn probe_staging<S, F>(&self, make_scheme: &F) -> (bool, Option<&TilingConfig>)
+    /// Capability probe of one scheme instance: whether the scheme
+    /// consumes K-steps (and so runs the lane loop), whether to stage
+    /// the raw FP16 panels, and the one-sided B checksums. Schemes that
+    /// never consume K-step fragments (the serving common case) skip
+    /// all three; fragment consumers that only read the decoded views
+    /// skip the raw staging too.
+    fn probe_staging<S, F>(&self, make_scheme: &F) -> (bool, bool, Option<&TilingConfig>)
     where
         S: ThreadLocalScheme,
         F: Fn() -> S,
@@ -192,7 +194,7 @@ impl GemmEngine {
         let probe = make_scheme();
         let hooked = probe.needs_k_steps();
         let chains = (hooked && probe.uses_row_checksums()).then_some(&self.tiling);
-        (hooked && probe.uses_raw_fragments(), chains)
+        (hooked, hooked && probe.uses_raw_fragments(), chains)
     }
 
     /// Covered (grid-padded) output extent and the padded K.
@@ -244,7 +246,7 @@ impl GemmEngine {
         let (gm, gn, cov_m, cov_n, k) = self.coverage();
         let k_steps = self.tiling.k_steps(self.shape);
 
-        let (needs16, chains) = self.probe_staging(&make_scheme);
+        let (hooked, needs16, chains) = self.probe_staging(&make_scheme);
         let path = simd::active_path();
         let mut panels = Panels::default();
         panels.stage(a, b, needs16, path.is_simd(), chains, cov_m, cov_n, k);
@@ -265,6 +267,7 @@ impl GemmEngine {
                 bc,
                 path,
                 &panels,
+                hooked,
                 &make_scheme,
                 faults,
                 &mut scratch,
@@ -324,7 +327,7 @@ impl GemmEngine {
         let (gm, gn, cov_m, cov_n, k) = self.coverage();
         let k_steps = self.tiling.k_steps(self.shape);
 
-        let (needs16, chains) = self.probe_staging(&make_scheme);
+        let (hooked, needs16, chains) = self.probe_staging(&make_scheme);
         let path = simd::active_path();
         ws.panels
             .stage(a, b, needs16, path.is_simd(), chains, cov_m, cov_n, k);
@@ -354,6 +357,7 @@ impl GemmEngine {
                         bc,
                         path,
                         &ws.panels,
+                        hooked,
                         &make_scheme,
                         faults,
                         &mut ws.block,
@@ -413,6 +417,7 @@ impl GemmEngine {
                                     bc,
                                     path,
                                     panels,
+                                    hooked,
                                     make_scheme,
                                     faults,
                                     &mut scr.block,

@@ -15,7 +15,7 @@
 //! heap allocations**: every buffer is resized in place and capacities
 //! only ratchet up to the high-water mark of the shapes served.
 
-use super::fault_inject::{Detection, FaultKind};
+use super::fault_inject::Detection;
 use super::matrix::Matrix;
 use super::scheme::ThreadCtx;
 use super::{row_checks, simd, EngineCounters, GemmOutput};
@@ -120,9 +120,6 @@ pub(crate) struct BlockScratch {
     pub(crate) tile: Vec<f32>,
     /// The thread's `Mt × Nt` FP32 accumulators.
     pub(crate) acc: Vec<f32>,
-    /// `(accumulator index, after_step, kind)` of faults aimed at the
-    /// current thread.
-    pub(crate) fault_targets: Vec<(usize, u64, FaultKind)>,
     /// Reused thread identity (rows/cols vectors keep their capacity).
     pub(crate) ctx: ThreadCtx,
     /// One-sided running checksums of the block's rows × column groups
@@ -144,7 +141,6 @@ impl BlockScratch {
         self.tile.resize(tile_len, 0.0);
         self.acc.clear();
         self.acc.resize(mt * nt, 0.0);
-        self.fault_targets.clear();
         self.ctx.rows.clear();
         self.ctx.rows.reserve(mt);
         self.ctx.cols.clear();
@@ -180,8 +176,25 @@ pub struct CheckScratch {
     pub chk: Vec<f32>,
     /// FP64 magnitude accumulator for the error bound.
     pub abs: Vec<f64>,
-    /// FP32 gather buffer (e.g. one column staged for a pairwise sum).
-    pub col: Vec<f32>,
+    /// FP32 working rows of a column-vectorized reduction tree (one
+    /// row of partial sums per tree level).
+    pub stack: Vec<f32>,
+    /// FP64 per-column expected sums (e.g. for fault localization).
+    pub expected: Vec<f64>,
+    /// FP64 per-column observed sums, matching `expected`.
+    pub observed: Vec<f64>,
+}
+
+/// The decoded A operand of the most recent engine run, as staged for
+/// the microkernel: row-major f32, zero-padded to the grid, row `r` at
+/// `data[r * stride..][..stride]`. Its first `rows × cols` elements are
+/// exactly the activation matrix's decoded values.
+#[derive(Clone, Copy, Debug)]
+pub struct APanel<'a> {
+    /// Padded A decoded to f32.
+    pub data: &'a [f32],
+    /// Row stride: the engine's padded K.
+    pub stride: usize,
 }
 
 /// All per-run scratch of the protected execution path, owned in one
@@ -247,11 +260,16 @@ impl Workspace {
         std::mem::take(&mut self.out)
     }
 
-    /// Split borrow for verification: the engine output together with
-    /// the checksum scratch, so a bound kernel can verify the run it
-    /// just executed without cloning either.
-    pub fn output_and_check(&mut self) -> (&GemmOutput, &mut CheckScratch) {
-        (&self.out, &mut self.check)
+    /// Split borrow for verification: the decoded A panel the engine
+    /// staged, the engine output, and the checksum scratch, so a bound
+    /// kernel can verify the run it just executed without cloning or
+    /// re-decoding anything.
+    pub fn verify_split(&mut self) -> (APanel<'_>, &GemmOutput, &mut CheckScratch) {
+        let a = APanel {
+            data: &self.panels.a_f32,
+            stride: self.panels.k,
+        };
+        (a, &self.out, &mut self.check)
     }
 
     /// The activation staging matrix lent to pipeline layers. Intended

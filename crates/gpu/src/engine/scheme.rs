@@ -151,10 +151,15 @@ pub trait ThreadLocalScheme: Send {
     /// Capability hook: whether this scheme consumes per-K-step
     /// fragments at all. Epilogue-only schemes (the unprotected
     /// baseline, kernel-level ABFT run via [`NoScheme`]) return `false`,
-    /// which lets the engine skip fragment gathering *and* the per-step
-    /// virtual call entirely and run its fused dot-product fast path —
-    /// the serving common case. When this returns `false`,
-    /// [`Self::on_k_step`] is never called; `begin`/`finalize` still are.
+    /// which lets the engine skip the per-lane epilogue entirely: the
+    /// microkernel's tile (with any injected faults applied) goes
+    /// straight to the output — the serving common case. When this
+    /// returns `false` the engine never constructs a per-thread
+    /// instance beyond its one probe: [`Self::begin`],
+    /// [`Self::on_k_step`], [`Self::walk_lane`], [`Self::finalize`] and
+    /// [`Self::counters`] are not called, so such a scheme can neither
+    /// flag a thread nor report extra work. The engine still counts its
+    /// threads and baseline MMAs.
     ///
     /// Must be constant across all instances a factory produces: the
     /// engine probes one instance per run and stages the raw FP16
@@ -220,6 +225,10 @@ pub trait ThreadLocalScheme: Send {
 
     /// Called once after the K-walk with the thread's final `Mt × Nt`
     /// FP32 accumulators (row-major); performs the thread-local check.
+    /// This is the only place a scheme sees accumulators: the engine
+    /// applies every injected fault to the block tile before any lane
+    /// runs, so `acc` already carries the run's corruption and every
+    /// scheme is handed the same values.
     fn finalize(&mut self, ctx: &ThreadCtx, acc: &[f32], mt: usize, nt: usize) -> ThreadVerdict;
 
     /// Cost counters accumulated by this thread's instance.
@@ -305,7 +314,7 @@ impl ThreadLocalScheme for Box<dyn ThreadLocalScheme> {
 }
 
 /// The unprotected baseline: no redundant work, always-clean verdicts.
-/// Opts out of K-step delivery, enabling the engine's fast path.
+/// Opts out of K-step delivery, so the engine runs no lane loop for it.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NoScheme;
 

@@ -341,3 +341,47 @@ fn workspace_take_output_leaves_a_reusable_workspace() {
     let second = eng.run_multi_into(&a, &b, || NoScheme, &[], &mut ws);
     assert_eq!(first.c, second.c);
 }
+
+#[test]
+fn schemes_without_k_steps_run_no_lane_loop() {
+    // An epilogue-only scheme is probed once per run and never driven
+    // per lane; the engine still counts the threads it simulates.
+    struct NoLanes;
+    impl ThreadLocalScheme for NoLanes {
+        fn needs_k_steps(&self) -> bool {
+            false
+        }
+        fn begin(&mut self, _ctx: &ThreadCtx) {
+            panic!("begin called for a scheme without K-steps");
+        }
+        fn on_k_step(&mut self, _step: &KStep<'_>) {}
+        fn finalize(&mut self, _c: &ThreadCtx, _a: &[f32], _m: usize, _n: usize) -> ThreadVerdict {
+            panic!("finalize called for a scheme without K-steps");
+        }
+    }
+    let (m, n, k) = (48usize, 40usize, 64usize);
+    let a = Matrix::random(m, k, 80);
+    let b = Matrix::random(k, n, 81);
+    let eng = engine_for(m as u64, n as u64, k as u64);
+    let fault = FaultPlan {
+        row: 33,
+        col: 7,
+        after_step: 4,
+        kind: FaultKind::BitFlip(28),
+    };
+    struct Hooked; // runs the lane loop, sees the faulted tile
+    impl ThreadLocalScheme for Hooked {
+        fn begin(&mut self, _ctx: &ThreadCtx) {}
+        fn on_k_step(&mut self, _step: &KStep<'_>) {}
+        fn finalize(&mut self, _c: &ThreadCtx, _a: &[f32], _m: usize, _n: usize) -> ThreadVerdict {
+            ThreadVerdict::clean()
+        }
+    }
+    let out = eng.run_multi(&a, &b, || NoLanes, &[fault]);
+    let hooked = eng.run_multi(&a, &b, || Hooked, &[fault]);
+    assert_eq!(out.c, hooked.c);
+    assert_eq!(out.counters.threads, hooked.counters.threads);
+    assert_eq!(out.counters.baseline_mmas, hooked.counters.baseline_mmas);
+    let (gm, gn) = eng.tiling().grid(eng.shape());
+    assert_eq!(out.counters.threads, gm * gn * 4 * 32);
+}

@@ -1,13 +1,24 @@
-//! The simulated threadblock execution: the SIMD/scalar microkernel
-//! fills the block tile first (see [`super::simd`]), then every warp
-//! and lane of the block runs its *epilogue* — scheme hooks, targeted
-//! fault injection, and per-thread verdicts — against the tile.
+//! The simulated threadblock execution, in three passes per block:
 //!
-//! Schemes that consume per-step fragments get the whole K-walk in one
+//! 1. the SIMD/scalar microkernel fills the block tile (see
+//!    [`super::simd`]);
+//! 2. one fault pass applies every [`FaultPlan`] aimed at the tile —
+//!    mid-walk faults recompute their cell with the corruption applied
+//!    at the targeted K-step ([`faulted_dot`]; accumulators are
+//!    independent, so this reproduces the faulted value bit-exactly),
+//!    epilogue faults strike the finished value;
+//! 3. only for schemes that consume K-steps, every warp and lane of the
+//!    block runs its *epilogue* — scheme hooks and per-thread verdicts —
+//!    against the (possibly faulted) tile. Schemes read accumulators
+//!    only at `finalize`, after the fault pass, so every hooked scheme
+//!    sees the same values. Schemes that opt out
+//!    ([`ThreadLocalScheme::needs_k_steps`] is `false`, e.g.
+//!    [`super::NoScheme`]) run no lane loop at all: the tile goes
+//!    straight to the output.
+//!
+//! Hooked schemes get the whole K-walk in one
 //! [`ThreadLocalScheme::walk_lane`] call, without redoing the
-//! accumulator math: accumulators are read back from the tile, which
-//! already holds the canonical-order values. The K-walk itself is one
-//! of two shapes:
+//! accumulator math. The K-walk itself is one of two shapes:
 //!
 //! - the default step replay ([`super::scheme::replay_walk`]), which
 //!   feeds `on_k_step` exactly the fragments the lane loaded;
@@ -20,17 +31,12 @@
 //!   finished values. The pass runs wherever the block runs, so it
 //!   parallelizes with the microkernel across stripe workers.
 //!
-//! Faulted accumulators are the one exception to reading the tile —
-//! they are recomputed by the scalar cold walk with the corruption
-//! applied mid-walk (accumulators are independent, so this reproduces
-//! the faulted value bit-exactly).
-//!
 //! Everything here writes into caller-owned scratch
 //! ([`BlockScratch`][super::panels::BlockScratch]) — the loops allocate
 //! nothing, which is what makes the workspace-threaded execution path
 //! allocation-free after warmup.
 
-use super::fault_inject::{Detection, FaultKind, FaultPlan};
+use super::fault_inject::{Detection, FaultPlan};
 use super::panels::{BlockScratch, Panels};
 use super::row_checks;
 use super::scheme::{LaneWalk, ThreadLocalScheme};
@@ -40,8 +46,9 @@ use crate::tiling::{TilingConfig, MAX_THREAD_MT, STEP_K};
 use aiga_fp16::F16;
 
 /// Executes threadblock `(br, bc)`: the microkernel computes the block
-/// tile, then every warp and lane runs its scheme instance and applies
-/// targeted faults against `scratch.tile`.
+/// tile, the fault pass corrupts it, then — when `hooked` (the run's
+/// scheme consumes K-steps) — every warp and lane runs its scheme
+/// instance against `scratch.tile`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_block<S, F>(
     tiling: &TilingConfig,
@@ -50,6 +57,7 @@ pub(crate) fn run_block<S, F>(
     bc: u64,
     path: GemmPath,
     panels: &Panels,
+    hooked: bool,
     make_scheme: &F,
     faults: &[FaultPlan],
     scratch: &mut BlockScratch,
@@ -62,19 +70,101 @@ pub(crate) fn run_block<S, F>(
     let t = tiling;
     let warps_m = t.block_m / t.warp_m;
     let warps_n = t.block_n / t.warp_n;
-    let mt = t.thread_mt() as usize;
-    let nt = t.thread_nt() as usize;
-    let k = panels.k;
-    counters.k_steps = k_steps;
+    let threads = warps_m * warps_n * 32;
     let bm = t.block_m as usize;
     let bn = t.block_n as usize;
     let row0 = (br * t.block_m) as usize;
     let col0 = (bc * t.block_n) as usize;
+    counters.k_steps = k_steps;
+    counters.threads += threads;
+    counters.baseline_mmas += threads * k_steps * t.mmas_per_thread_step();
 
     // The substrate: one microkernel pass computes the whole block tile
     // in the canonical accumulation order (padded rows/columns are zero
     // in the panels, so computing them is harmless and branch-free).
     simd::fill_block_tile(path, panels, row0, col0, bm, bn, &mut scratch.tile);
+    if !faults.is_empty() {
+        apply_faults(panels, faults, row0, col0, bm, bn, &mut scratch.tile);
+    }
+    if hooked {
+        run_lanes(
+            t,
+            k_steps,
+            br,
+            bc,
+            path,
+            panels,
+            make_scheme,
+            scratch,
+            detections,
+            counters,
+        );
+    }
+}
+
+/// The per-block fault pass: every plan whose cell lies in this block's
+/// tile corrupts it in place. Per cell, mid-walk faults come first (one
+/// [`faulted_dot`] recompute applies all of the cell's mid-walk faults
+/// at their K-steps), then epilogue faults in plan order.
+fn apply_faults(
+    panels: &Panels,
+    faults: &[FaultPlan],
+    row0: usize,
+    col0: usize,
+    bm: usize,
+    bn: usize,
+    tile: &mut [f32],
+) {
+    let k = panels.k;
+    let cell = |f: &FaultPlan| {
+        let (r, c) = (f.row.wrapping_sub(row0), f.col.wrapping_sub(col0));
+        (r < bm && c < bn).then(|| r * bn + c)
+    };
+    for f in faults {
+        if let Some(i) = cell(f).filter(|_| f.after_step != u64::MAX) {
+            tile[i] = faulted_dot(
+                &panels.a_f32[f.row * k..][..k],
+                &panels.b_f32_t[f.col * k..][..k],
+                f.row,
+                f.col,
+                faults,
+            );
+        }
+    }
+    for f in faults {
+        if let Some(i) = cell(f).filter(|_| f.after_step == u64::MAX) {
+            tile[i] = f.kind.apply(tile[i]);
+        }
+    }
+}
+
+/// The lane loop of a hooked scheme: every warp and lane builds its
+/// fragment identity, walks its K-steps, gathers its accumulators from
+/// the tile, and finalizes.
+#[allow(clippy::too_many_arguments)]
+fn run_lanes<S, F>(
+    t: &TilingConfig,
+    k_steps: u64,
+    br: u64,
+    bc: u64,
+    path: GemmPath,
+    panels: &Panels,
+    make_scheme: &F,
+    scratch: &mut BlockScratch,
+    detections: &mut Vec<Detection>,
+    counters: &mut EngineCounters,
+) where
+    S: ThreadLocalScheme,
+    F: Fn() -> S + Sync,
+{
+    let warps_m = t.block_m / t.warp_m;
+    let warps_n = t.block_n / t.warp_n;
+    let mt = t.thread_mt() as usize;
+    let nt = t.thread_nt() as usize;
+    let k = panels.k;
+    let bn = t.block_n as usize;
+    let row0 = (br * t.block_m) as usize;
+    let col0 = (bc * t.block_n) as usize;
 
     // One-sided row checks: every block row against every column group
     // of the block, once, instead of once per lane.
@@ -84,7 +174,7 @@ pub(crate) fn run_block<S, F>(
             path,
             panels,
             row0,
-            bm,
+            t.block_m as usize,
             bc as usize,
             &mut scratch.row_abft,
             &mut scratch.row_magnitude,
@@ -92,6 +182,12 @@ pub(crate) fn run_block<S, F>(
     }
 
     scratch.ctx.block = (br, bc);
+    // Raw panels are staged only when the scheme consumes them.
+    let (a16, b16_t): (&[F16], &[F16]) = if panels.staged16 {
+        (&panels.a16.data, &panels.b16_t.data)
+    } else {
+        (&[], &[])
+    };
 
     for wr in 0..warps_m {
         for wc in 0..warps_n {
@@ -117,64 +213,42 @@ pub(crate) fn run_block<S, F>(
                     ctx.cols.push(base + 1);
                 }
 
-                // Which accumulators (if any) the fault plans target.
-                // The whole targeting machinery is skipped when no
-                // faults are injected — the serving common case.
-                scratch.fault_targets.clear();
-                if !faults.is_empty() {
-                    let ctx = &scratch.ctx;
-                    scratch.fault_targets.extend(faults.iter().filter_map(|f| {
-                        let ri = ctx.rows.iter().position(|&r| r == f.row)?;
-                        let ci = ctx.cols.iter().position(|&c| c == f.col)?;
-                        Some((ri * nt + ci, f.after_step, f.kind))
-                    }));
-                }
-
                 let mut scheme = make_scheme();
                 scheme.begin(&scratch.ctx);
 
-                if scheme.needs_k_steps() {
-                    // Whole-lane walk for hooked schemes: the per-step
-                    // replay or the row checksums of the shared passes;
-                    // the accumulator math itself already happened in
-                    // the microkernel. Raw panels are staged only when
-                    // the scheme consumes them.
-                    let (a16, b16_t): (&[F16], &[F16]) = if panels.staged16 {
-                        (&panels.a16.data, &panels.b16_t.data)
-                    } else {
-                        (&[], &[])
-                    };
-                    let mut row_abft = [0.0f32; MAX_THREAD_MT];
-                    let mut row_magnitude = [0.0f64; MAX_THREAD_MT];
-                    let checked = if groups > 0 {
-                        let j = row_checks::lane_group(wc as usize, quad);
-                        for (ri, &r) in scratch.ctx.rows.iter().enumerate() {
-                            row_abft[ri] = scratch.row_abft[(r - row0) * groups + j];
-                            row_magnitude[ri] = scratch.row_magnitude[(r - row0) * groups + j];
-                        }
-                        mt
-                    } else {
-                        0
-                    };
-                    scheme.walk_lane(&LaneWalk {
-                        a_f32: &panels.a_f32,
-                        b_f32_t: &panels.b_f32_t,
-                        a16,
-                        b16_t,
-                        k,
-                        rows: &scratch.ctx.rows,
-                        cols: &scratch.ctx.cols,
-                        k_steps,
-                        dtype: panels.dtype,
-                        row_abft: &row_abft[..checked],
-                        row_magnitude: &row_magnitude[..checked],
-                    });
-                }
+                // Whole-lane walk: the per-step replay or the row
+                // checksums of the shared passes; the accumulator math
+                // itself already happened in the microkernel.
+                let mut row_abft = [0.0f32; MAX_THREAD_MT];
+                let mut row_magnitude = [0.0f64; MAX_THREAD_MT];
+                let checked = if groups > 0 {
+                    let j = row_checks::lane_group(wc as usize, quad);
+                    for (ri, &r) in scratch.ctx.rows.iter().enumerate() {
+                        row_abft[ri] = scratch.row_abft[(r - row0) * groups + j];
+                        row_magnitude[ri] = scratch.row_magnitude[(r - row0) * groups + j];
+                    }
+                    mt
+                } else {
+                    0
+                };
+                scheme.walk_lane(&LaneWalk {
+                    a_f32: &panels.a_f32,
+                    b_f32_t: &panels.b_f32_t,
+                    a16,
+                    b16_t,
+                    k,
+                    rows: &scratch.ctx.rows,
+                    cols: &scratch.ctx.cols,
+                    k_steps,
+                    dtype: panels.dtype,
+                    row_abft: &row_abft[..checked],
+                    row_magnitude: &row_magnitude[..checked],
+                });
 
-                // Gather the lane's accumulators from the tile. Columns
-                // come in contiguous pairs (the fragment layout owns 2
-                // adjacent columns per granule), so each pair is one
-                // slice copy.
+                // Gather the lane's (possibly faulted) accumulators from
+                // the tile. Columns come in contiguous pairs (the
+                // fragment layout owns 2 adjacent columns per granule),
+                // so each pair is one slice copy.
                 {
                     let (ctx, acc, tile) = (&scratch.ctx, &mut scratch.acc, &scratch.tile);
                     for (ri, &r) in ctx.rows.iter().enumerate() {
@@ -189,50 +263,6 @@ pub(crate) fn run_block<S, F>(
                     }
                 }
 
-                if !scratch.fault_targets.is_empty() {
-                    let BlockScratch {
-                        ctx,
-                        acc,
-                        fault_targets,
-                        tile,
-                        ..
-                    } = scratch;
-                    // Mid-kernel faults: recompute each targeted
-                    // accumulator with the cold walk, corrupting it at
-                    // the targeted K-step exactly as the in-loop
-                    // injection used to.
-                    for i in 0..fault_targets.len() {
-                        let (idx, after, _) = fault_targets[i];
-                        if after != u64::MAX {
-                            let (ri, ci) = (idx / nt, idx % nt);
-                            let r = ctx.rows[ri];
-                            let c = ctx.cols[ci];
-                            acc[idx] = faulted_dot(
-                                &panels.a_f32[r * k..r * k + k],
-                                &panels.b_f32_t[c * k..c * k + k],
-                                idx,
-                                fault_targets,
-                            );
-                        }
-                    }
-                    // Epilogue-datapath faults strike after the K-walk.
-                    for &(idx, after, kind) in fault_targets.iter() {
-                        if after == u64::MAX {
-                            acc[idx] = kind.apply(acc[idx]);
-                        }
-                    }
-                    // Write the corrupted accumulators back so the
-                    // scattered output carries the fault.
-                    for (ri, &r) in ctx.rows.iter().enumerate() {
-                        let trow = (r - row0) * bn;
-                        let acc_row = &acc[ri * nt..ri * nt + nt];
-                        for (pair, chunk) in ctx.cols.chunks_exact(2).zip(acc_row.chunks_exact(2)) {
-                            let c = pair[0] - col0;
-                            tile[trow + c..trow + c + 2].copy_from_slice(chunk);
-                        }
-                    }
-                }
-
                 let verdict = scheme.finalize(&scratch.ctx, &scratch.acc, mt, nt);
                 if verdict.fault_detected {
                     detections.push(Detection {
@@ -243,23 +273,17 @@ pub(crate) fn run_block<S, F>(
                         threshold: verdict.threshold,
                     });
                 }
-                counters.threads += 1;
-                counters.baseline_mmas += k_steps * t.mmas_per_thread_step();
                 counters.scheme.merge(scheme.counters());
             }
         }
     }
 }
 
-/// The cold walk for a faulted accumulator: the canonical FMA chain
-/// with the corruption applied at the targeted simulated K-step (one
-/// step consumes [`STEP_K`] = 2 elements, as in Figure 3).
-fn faulted_dot(
-    a_row: &[f32],
-    b_col: &[f32],
-    idx: usize,
-    fault_targets: &[(usize, u64, FaultKind)],
-) -> f32 {
+/// The cold walk for a faulted accumulator `(row, col)`: the canonical
+/// FMA chain with every mid-walk fault aimed at that cell applied at
+/// its simulated K-step, in plan order (one step consumes [`STEP_K`] =
+/// 2 elements, as in Figure 3).
+fn faulted_dot(a_row: &[f32], b_col: &[f32], row: usize, col: usize, faults: &[FaultPlan]) -> f32 {
     let mut s = 0.0f32;
     for (step, (aa, bb)) in a_row
         .chunks_exact(STEP_K as usize)
@@ -268,9 +292,9 @@ fn faulted_dot(
     {
         s = aa[0].mul_add(bb[0], s);
         s = aa[1].mul_add(bb[1], s);
-        for &(i, after, kind) in fault_targets {
-            if i == idx && after == step as u64 {
-                s = kind.apply(s);
+        for f in faults {
+            if f.row == row && f.col == col && f.after_step == step as u64 {
+                s = f.kind.apply(s);
             }
         }
     }

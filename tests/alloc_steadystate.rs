@@ -52,6 +52,12 @@
 //!    workspace cycling through every tiling candidate and mixed shapes,
 //!    interleaved with a scheme that stages none of them, is exactly
 //!    zero-alloc after one warm cycle.
+//!
+//! 9. global ABFT's activation checksum — a column-vectorized pairwise
+//!    tree over the engine's staged A panel, its level rows in the
+//!    workspace's check scratch — and the engine's per-block fault pass
+//!    are exactly zero-alloc once warm, across im2col convs of different
+//!    depth and a faulted unprotected run.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -410,5 +416,86 @@ fn steady_state_hot_paths_do_not_allocate() {
         cycle(&mut ws); // ratchet every buffer to its high-water mark
         let n = allocs_during(|| cycle(&mut ws));
         assert_eq!(n, 0, "one-sided shared passes allocated {n} times");
+    }
+
+    // --- 9. Global ABFT's checksum tree over the staged A panel, and
+    // the engine's per-block fault pass. Two im2col convs of different
+    // row counts and K cycle through one workspace — global ABFT
+    // verifying (its tree stack ratchets to the deeper conv), then
+    // Unprotected under several faults on one cell plus one elsewhere.
+    {
+        let convs: Vec<_> = [(1usize, 3usize, 31usize, 2usize, 16usize), (2, 8, 15, 1, 8)]
+            .into_iter()
+            .map(|(images, c_in, side, stride, c_out)| {
+                let input = Tensor::random(images, c_in, side, side, 85);
+                let params = ConvParams {
+                    c_out,
+                    kernel: 3,
+                    stride,
+                    padding: 1,
+                };
+                let filters = Tensor::random(c_out, c_in, 3, 3, 86);
+                let weights = aiga_nn::conv::filters_to_matrix(&filters);
+                let view = params.im2col_view(c_in, side, side);
+                let rows = view.rows(images);
+                let engine = GemmEngine::with_default_tiling(GemmShape::new(
+                    rows as u64,
+                    c_out as u64,
+                    view.cols() as u64,
+                ));
+                let faults = [
+                    FaultPlan {
+                        row: rows / 2,
+                        col: 1,
+                        after_step: 2,
+                        kind: FaultKind::BitFlip(21),
+                    },
+                    FaultPlan {
+                        row: rows / 2,
+                        col: 1,
+                        after_step: u64::MAX,
+                        kind: FaultKind::AddValue(5.0),
+                    },
+                    FaultPlan {
+                        row: rows / 2,
+                        col: 1,
+                        after_step: 4,
+                        kind: FaultKind::AddValue(-2.0),
+                    },
+                    FaultPlan {
+                        row: rows - 1,
+                        col: c_out - 1,
+                        after_step: 1,
+                        kind: FaultKind::SetValue(3.0),
+                    },
+                ];
+                let global = reg.resolve(Scheme::GlobalAbft).bind(&weights);
+                let unprotected = reg.resolve(Scheme::Unprotected).bind(&weights);
+                (
+                    images,
+                    view,
+                    input.data,
+                    engine,
+                    faults,
+                    global,
+                    unprotected,
+                )
+            })
+            .collect();
+        let mut ws = Workspace::new();
+        let mut datas: Vec<_> = convs.iter().map(|c| Some(c.2.clone())).collect();
+        let mut cycle = |ws: &mut Workspace| {
+            for ((images, view, _, engine, faults, global, unprotected), data) in
+                convs.iter().zip(datas.iter_mut())
+            {
+                let a = Matrix::im2col_lowered(*images, *view, data.take().unwrap());
+                assert!(global.run_into(engine, &a, &[], ws).is_clean());
+                unprotected.run_into(engine, &a, faults, ws);
+                *data = Some(a.data);
+            }
+        };
+        cycle(&mut ws); // ratchet every buffer to its high-water mark
+        let n = allocs_during(|| cycle(&mut ws));
+        assert_eq!(n, 0, "global tree / tile fault pass allocated {n} times");
     }
 }
